@@ -603,10 +603,10 @@ let run_cmd =
     | Some _ ->
       let s = r.stats in
       Printf.printf
-        "tcache:               %d hits, %d misses, %d persists, %d evicts, \
-         %d corrupt, %d skipped\n"
-        s.tcache_hits s.tcache_misses s.tcache_persists s.tcache_evicts
-        s.tcache_corrupt s.tcache_skipped);
+        "tcache:               %d hits, %d misses, %d persists \
+         (%d extensions deferred), %d evicts, %d corrupt, %d skipped\n"
+        s.tcache_hits s.tcache_misses s.tcache_persists s.tcache_deferred
+        s.tcache_evicts s.tcache_corrupt s.tcache_skipped);
     (if tier2.t2_enable then
        let s = r.stats in
        Printf.printf

@@ -71,10 +71,10 @@ type compiled = {
     the background path drop the candidate rather than crash. *)
 let compile ~(t1 : Params.t) ~frontend mem ~members ~entries =
   let tr = translator ~t1 ~frontend mem ~members in
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let i0 = tr.Translate.totals.insns in
   List.iter (fun e -> ignore (Translate.entry tr e)) entries;
-  let c_seconds = Sys.time () -. t0 in
+  let c_seconds = Clock.since t0 in
   let c_xpage =
     match Hashtbl.fold (fun _ p _ -> Some p) tr.Translate.pages None with
     | Some p -> p

@@ -225,8 +225,13 @@ let attach t (vmm : Monitor.t) =
         (fun page ->
           Hashtbl.replace t.digests page.base (digest_of page);
           Hashtbl.remove t.corrupted page.base;
+          let flips = t.n_bitflips + t.n_silent in
           if chance t cfg.bitflip_rate then corrupt_tree t page;
-          if chance t cfg.silent_rate then corrupt_silently t page);
+          if chance t cfg.silent_rate then corrupt_silently t page;
+          (* a flip mutates trees in place, possibly trees staged before
+             this extension, which restaging would otherwise reuse *)
+          if t.n_bitflips + t.n_silent <> flips then
+            Monitor.drop_compiled vmm page.base);
     (* the integrity check re-digests [`Eager] pages and catches the
        flip before execution; [`Runtime] pages are left for the
        datapath to trip over *)

@@ -172,7 +172,7 @@ let stats_fields (s : Monitor.stats) =
 (** Write one snapshot now, with [pc] as the precise resume point.
     Returns the snapshot's size in bytes. *)
 let write t ~pc =
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let vmm = t.vmm in
   let mem = vmm.mem in
   let b = Buffer.create 4096 in
@@ -228,7 +228,7 @@ let write t ~pc =
     Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
     t.seq <- t.seq + 1;
     t.last_cycle <- Monitor.now vmm;
-    let seconds = Sys.time () -. t0 in
+    let seconds = Clock.since t0 in
     vmm.stats.checkpoints_written <- vmm.stats.checkpoints_written + 1;
     vmm.stats.checkpoint_seconds <- vmm.stats.checkpoint_seconds +. seconds;
     Monitor.emit vmm (fun () ->
@@ -242,7 +242,7 @@ let write t ~pc =
        [last_cycle] still advances — retrying every cycle against a
        full disk would turn one fault into a write storm. *)
     t.last_cycle <- Monitor.now vmm;
-    let seconds = Sys.time () -. t0 in
+    let seconds = Clock.since t0 in
     vmm.stats.storage_faults <- vmm.stats.storage_faults + 1;
     vmm.stats.checkpoint_seconds <- vmm.stats.checkpoint_seconds +. seconds;
     Monitor.emit vmm (fun () ->

@@ -206,6 +206,7 @@ let record_result m (r : Vmm.Run.result) =
   c "tcache_corrupt" s.tcache_corrupt;
   c "tcache_quarantined" s.tcache_quarantined;
   c "tcache_persists" s.tcache_persists;
+  c "tcache_deferred" s.tcache_deferred;
   c "tcache_evicts" s.tcache_evicts;
   c "tcache_skipped" s.tcache_skipped;
   c "tcache_degraded" s.tcache_degraded;

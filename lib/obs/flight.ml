@@ -183,6 +183,8 @@ let render (ev : Monitor.event) :
   | Tcache_persist { cycle; page; bytes } ->
     ( cycle, "tcache_persist", Trace.I,
       [ ("page", Json.Int page); ("bytes", Json.Int bytes) ] )
+  | Tcache_flush { cycle; pages } ->
+    (cycle, "tcache_flush", Trace.I, [ ("pages", Json.Int pages) ])
   | Tcache_evict { cycle; page } ->
     (cycle, "tcache_evict", Trace.I, [ ("page", Json.Int page) ])
   | Tcache_skipped { cycle; page; reason } ->

@@ -794,6 +794,9 @@ and cvliw = { c_id : int; c_tree : Tree.t; select : unit -> cleaf }
     its trees, plus the state and scratch they were compiled against. *)
 type page = {
   vliws : cvliw array;
+  fresh : int;
+      (** trees closure-compiled by the {!stage} call that built this
+          page; the others were reused from its [prev] *)
   scratch : scratch;
   st : Vstate.t;
   mem : Mem.t;
@@ -850,41 +853,67 @@ exception Budget_exceeded of float
     time.  No partial page escapes — the caller sees either a complete
     staged page or this exception. *)
 
-(** Stage every tree of a page.  In-range [Tree.Next] exits are patched
-    to direct closure references afterwards, so steady-state chaining
-    is one pointer dereference.  [budget], when given, bounds the wall
-    time staging may take: the clock is checked between trees (one tree
-    is the smallest unit of staging work), and overrunning raises
-    {!Budget_exceeded} instead of letting a pathological page stall the
-    whole run. *)
-let stage ?budget ~(st : Vstate.t) ~(mem : Mem.t) ~(scratch : scratch)
+let n_staged p = Array.length p.vliws
+
+(** Stage the trees of a page.  In-range [Tree.Next] exits are patched
+    to direct closure references, so steady-state chaining is one
+    pointer dereference.
+
+    [prev], when given, is the same page staged earlier, before an
+    in-place extension appended trees: its [n_staged prev] staged trees
+    are reused as they are (physically), and only the trees from
+    [n_staged prev] on are closure-compiled and direct-linked.  This is
+    sound because a translation group never mutates the trees of an
+    earlier group: its [Next] exits point only at its own new trees,
+    and it reaches older code through [OnPage] exits, whose entry slots
+    resolve lazily.  A [prev] staged against other state, memory or
+    scratch, or whose trees are not the first trees of [trees], is
+    ignored.
+
+    [budget], when given, bounds the wall time staging may take: the
+    clock is checked between trees (one tree is the smallest unit of
+    staging work), and overrunning raises {!Budget_exceeded} instead of
+    letting a pathological page stall the whole run.  [prev] is left
+    untouched either way. *)
+let stage ?budget ?prev ~(st : Vstate.t) ~(mem : Mem.t) ~(scratch : scratch)
     (trees : Tree.t array) : page =
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let check_budget () =
     match budget with
     | Some b ->
-      let dt = Sys.time () -. t0 in
+      let dt = Clock.since t0 in
       if dt > b then raise (Budget_exceeded dt)
     | None -> ()
   in
+  let n = Array.length trees in
+  let reused =
+    match prev with
+    | Some p
+      when p.st == st && p.mem == mem && p.scratch == scratch
+           && n_staged p <= n
+           && Array.for_all (fun cv -> cv.c_tree == trees.(cv.c_id)) p.vliws ->
+      p.vliws
+    | _ -> [||]
+  in
+  let n0 = Array.length reused in
   let leaves = ref [] in
   let vliws =
-    Array.mapi
-      (fun i (tree : Tree.t) ->
-        check_budget ();
-        { c_id = i; c_tree = tree; select = c_sel st mem scratch leaves [] 0 tree.root })
-      trees
+    Array.init n (fun i ->
+        if i < n0 then reused.(i)
+        else begin
+          check_budget ();
+          let tree = trees.(i) in
+          { c_id = i; c_tree = tree;
+            select = c_sel st mem scratch leaves [] 0 tree.root }
+        end)
   in
-  let n = Array.length vliws in
   List.iter
     (fun leaf ->
       match leaf.exit with
       | Cnext_id id when id >= 0 && id < n -> leaf.exit <- Cnext vliws.(id)
       | _ -> ())
     !leaves;
-  { vliws; scratch; st; mem }
-
-let n_staged p = Array.length p.vliws
+  { vliws; fresh = n - n0; scratch; st; mem }
 
 (** The staged VLIW with tree id [id]; raises [Invalid_argument] for an
     id outside the page, as [Vec.get] would. *)

@@ -55,7 +55,10 @@ type stats = {
   mutable tcache_quarantined : int;
       (** corrupt entries set aside on disk so the next translation
           heals the cache instead of every session re-tripping on them *)
-  mutable tcache_persists : int;  (** fresh translations written out *)
+  mutable tcache_persists : int;  (** entries written out *)
+  mutable tcache_deferred : int;
+      (** in-place extensions whose write was deferred to the page's
+          one write-behind flush (see {!flush_dirty}) *)
   mutable tcache_evicts : int;    (** entries dropped after invalidation *)
   mutable tcache_skipped : int;   (** unreadable / non-entry paths ignored *)
   mutable tcache_degraded : int;
@@ -73,7 +76,9 @@ type stats = {
   mutable degrade_retries : int; (** re-translations after backoff expiry *)
   mutable interp_pinned : int;   (** pages permanently pinned to interp *)
   (* --- staged (closure-compiled) execution engine --- *)
-  mutable compiled_pages : int;      (** pages staged into closures *)
+  mutable compiled_pages : int;
+      (** staging calls: a page's first staging, and each restaging
+          after an in-place extension (which stages only the new trees) *)
   mutable compile_seconds : float;   (** wall time spent staging *)
   mutable direct_link_hits : int;    (** on-page jumps resolved via the
                                          memoized slot, no Hashtbl *)
@@ -104,7 +109,8 @@ let fresh_stats () =
     code_invalidations = 0; stall_cycles = 0; itlb_misses = 0;
     tcache_hits = 0; tcache_misses = 0; tcache_corrupt = 0;
     tcache_quarantined = 0;
-    tcache_persists = 0; tcache_evicts = 0; tcache_skipped = 0;
+    tcache_persists = 0; tcache_deferred = 0; tcache_evicts = 0;
+    tcache_skipped = 0;
     tcache_degraded = 0; storage_faults = 0;
     translator_faults = 0; exec_faults = 0; quarantines = 0;
     degrade_retries = 0; interp_pinned = 0;
@@ -191,6 +197,10 @@ type event =
       (** a corrupt entry was set aside on disk ([.dtc.bad]); the gate
           winner's retranslation will persist a fresh entry in its place *)
   | Tcache_persist of { cycle : int; page : int; bytes : int }
+  | Tcache_flush of { cycle : int; pages : int }
+      (** the write-behind flush is about to write [pages] extended
+          pages; a consumer timing persists from the previous event
+          starts here, not at whatever ran before the flush *)
   | Tcache_evict of { cycle : int; page : int }
   | Tcache_skipped of { cycle : int; page : int; reason : string }
   | Translator_fault of { cycle : int; page : int; entry : int; reason : string }
@@ -202,7 +212,9 @@ type event =
   | Interp_pinned of { cycle : int; page : int }
       (** failure budget exhausted; page interprets forever *)
   | Vliw_compiled of { cycle : int; page : int; vliws : int; seconds : float }
-      (** a page's trees were staged into closures (compiled engine) *)
+      (** [vliws] trees of a page were staged into closures by one
+          staging call (compiled engine); after an in-place extension
+          that is only the new trees *)
   | Deadline of {
       cycle : int;
       page : int;
@@ -297,6 +309,9 @@ type t = {
   tcache : Tcache.Store.t option;
       (** the persistent translation cache, when [run --tcache] gave us
           a directory *)
+  dirty : (int, Translate.xpage * string) Hashtbl.t;
+      (** write-behind: page base -> the extended xpage and the content
+          key it was translated under, awaiting {!flush_dirty} *)
   mutable engine : engine;
   cscratch : C.scratch;
       (** shared scratch buffers of the staged engine (one VLIW executes
@@ -304,7 +319,8 @@ type t = {
   compiled : (int, Translate.xpage * C.page) Hashtbl.t;
       (** staged pages by base; the source [xpage] is kept so staleness
           is detected by physical identity (invalidation replaces the
-          object) plus tree count (extension grows it in place) *)
+          object) plus tree count (extension grows it in place, and
+          only the new trees are staged) *)
   (* speculative loads that bypassed stores, outstanding in the current
      group execution — a cleared-on-entry preallocated buffer, not a
      per-VLIW list (struct-of-arrays mirroring [Exec.access]) *)
@@ -473,7 +489,7 @@ let tcache_probe t addr =
   | Some store ->
     let base = Translate.page_base t.tr addr in
     let key = tcache_key t store base in
-    let t0 = Sys.time () in
+    let t0 = Clock.now () in
     let corrupt reason =
       t.stats.tcache_corrupt <- t.stats.tcache_corrupt + 1;
       emit t (fun () -> Tcache_corrupt { cycle = now t; page = base; reason });
@@ -485,7 +501,7 @@ let tcache_probe t addr =
     in
     (match Tcache.Store.probe store ~key with
     | `Hit (page, spec_inhibited) when page.base = base ->
-      let seconds = Sys.time () -. t0 in
+      let seconds = Clock.since t0 in
       Translate.install t.tr ~spec_inhibited page;
       t.stats.tcache_hits <- t.stats.tcache_hits + 1;
       emit t (fun () ->
@@ -504,25 +520,81 @@ let tcache_probe t addr =
       emit t (fun () -> Tcache_skipped { cycle = now t; page = base; reason }));
     tcache_sync_degraded t store base
 
-(* Write [page]'s translation out (also after an extension of an
-   already-persisted page: same key, superset entry, plain overwrite). *)
+let tcache_write t store ~key (page : Translate.xpage) =
+  let spec_inhibited = Translate.load_spec_inhibited t.tr page.base in
+  (match Tcache.Store.persist store ~key page ~spec_inhibited with
+  | bytes ->
+    t.stats.tcache_persists <- t.stats.tcache_persists + 1;
+    emit t (fun () -> Tcache_persist { cycle = now t; page = page.base; bytes });
+    (match t.tcache_touch with Some f -> f ~key | None -> ());
+    (match t.tcache_persist_hook with
+    | Some f -> f (Tcache.Store.path_of store key)
+    | None -> ())
+  | exception Sys_error _ -> () (* unwritable dir: cache is best-effort *));
+  tcache_sync_degraded t store page.base
+
+(* Write a page's first translation out at once.  Under a shared cache
+   the translate gate releases its waiters into a re-probe, so the
+   entry must be on disk before that release. *)
 let tcache_persist t (page : Translate.xpage) =
   match t.tcache with
   | None -> ()
+  | Some store -> tcache_write t store ~key:(tcache_key t store page.base) page
+
+(* --- Write-behind for in-place extensions ---------------------------
+
+   Extending a page that is already translated (or installed from the
+   cache) only marks it dirty, under the key of the bytes it was just
+   translated from; {!flush_dirty} writes each dirty page once, as a
+   superset entry that overwrites the one under the same key, and
+   {!flush_page} writes one before a cast-out drops it.  A dirty page
+   is written only while its xpage is still the one in [tr.pages]:
+   self-modifying-code invalidation, adaptive retranslation and
+   quarantine all remove or replace the object, so a stale extension
+   is never written.  A run killed before the flush loses only its own
+   extensions; the first translations are already on disk. *)
+
+let tcache_defer t (page : Translate.xpage) =
+  match t.tcache with
+  | None -> ()
   | Some store ->
-    let key = tcache_key t store page.base in
-    let spec_inhibited = Translate.load_spec_inhibited t.tr page.base in
-    (match Tcache.Store.persist store ~key page ~spec_inhibited with
-    | bytes ->
-      t.stats.tcache_persists <- t.stats.tcache_persists + 1;
-      emit t (fun () ->
-          Tcache_persist { cycle = now t; page = page.base; bytes });
-      (match t.tcache_touch with Some f -> f ~key | None -> ());
-      (match t.tcache_persist_hook with
-      | Some f -> f (Tcache.Store.path_of store key)
-      | None -> ())
-    | exception Sys_error _ -> () (* unwritable dir: cache is best-effort *));
-    tcache_sync_degraded t store page.base
+    Hashtbl.replace t.dirty page.base (page, tcache_key t store page.base);
+    t.stats.tcache_deferred <- t.stats.tcache_deferred + 1
+
+let write_dirty t store entries =
+  let live ((page : Translate.xpage), _) =
+    match Hashtbl.find_opt t.tr.pages page.base with
+    | Some p -> p == page
+    | None -> false
+  in
+  match List.filter live entries with
+  | [] -> ()
+  | live ->
+    emit t (fun () -> Tcache_flush { cycle = now t; pages = List.length live });
+    List.iter (fun (page, key) -> tcache_write t store ~key page) live
+
+(** Write every dirty page that is still live, in page order.  [run]
+    calls this on every exit, normal or exceptional. *)
+let flush_dirty t =
+  match t.tcache with
+  | None -> ()
+  | Some store ->
+    let entries =
+      Hashtbl.fold (fun _ e acc -> e :: acc) t.dirty []
+      |> List.sort (fun ((a : Translate.xpage), _) ((b : Translate.xpage), _) ->
+             compare a.base b.base)
+    in
+    Hashtbl.clear t.dirty;
+    write_dirty t store entries
+
+(* Write [base]'s pending extension, if any, before a cast-out drops
+   the page: the refill should hit the extended entry. *)
+let flush_page t base =
+  match (t.tcache, Hashtbl.find_opt t.dirty base) with
+  | Some store, Some e ->
+    Hashtbl.remove t.dirty base;
+    write_dirty t store [ e ]
+  | _ -> ()
 
 (* Drop the entry for a page whose translation just became invalid
    (self-modifying code, adaptive retranslation).  Cast-outs do NOT
@@ -652,7 +724,7 @@ let create ?(params = Params.default) ?(frontend = Translator.Frontend.ppc)
   in
   let t =
     { tr; st; fe = frontend; interp_step = frontend.make_step m mem; mem;
-      stats = fresh_stats (); tcache;
+      stats = fresh_stats (); tcache; dirty = Hashtbl.create 8;
       engine; cscratch = C.create_scratch (); compiled = Hashtbl.create 32;
       spec_addr = Array.make 32 0; spec_bytes = Array.make 32 0;
       spec_seq = Array.make 32 0; spec_n = 0;
@@ -932,31 +1004,41 @@ let boundary_tick t ~pc =
   (match t.tick_hook with Some f -> f ~pc | None -> ());
   fired
 
-(* Stage (or re-stage) the closure-compiled form of [page], lazily on
-   first dispatch.  Staleness is physical identity plus tree count:
-   invalidation replaces the xpage object in [tr.pages], and an
-   in-place extension grows its [vliws] — either way the staged form
-   is rebuilt here. *)
-let compiled_for t (page : Translate.xpage) : C.page =
-  match Hashtbl.find_opt t.compiled page.base with
-  | Some (src, cp) when src == page && C.n_staged cp = Vec.length page.vliws ->
-    cp
+(* The closure-compiled form of [xp], a tier-1 page or a tier-2 region
+   image, staged lazily on first dispatch.  [cached] is its previous
+   staged form, if any.  Staleness is physical identity plus tree
+   count: invalidation replaces the xpage object, and an in-place
+   extension grows its [vliws].  After an extension only the new trees
+   are staged ([C.stage ~prev]); [save] records the new staged form.
+   [page] is the page base the [Vliw_compiled] event names. *)
+let staged_form t ~page ~tier2 cached (xp : Translate.xpage) ~save : C.page =
+  match cached with
+  | Some (src, cp) when src == xp && C.n_staged cp = Vec.length xp.vliws -> cp
   | _ ->
-    let t0 = Sys.time () in
-    let trees = Array.init (Vec.length page.vliws) (Vec.get page.vliws) in
-    let cp =
-      C.stage ?budget:t.compile_budget ~st:t.st ~mem:t.mem ~scratch:t.cscratch
-        trees
+    let prev =
+      match cached with Some (src, cp) when src == xp -> Some cp | _ -> None
     in
-    let seconds = Sys.time () -. t0 in
-    t.stats.compiled_pages <- t.stats.compiled_pages + 1;
-    t.stats.compile_seconds <- t.stats.compile_seconds +. seconds;
-    Hashtbl.replace t.compiled page.base (page, cp);
+    let t0 = Clock.now () in
+    let trees = Array.init (Vec.length xp.vliws) (Vec.get xp.vliws) in
+    let cp =
+      C.stage ?budget:t.compile_budget ?prev ~st:t.st ~mem:t.mem
+        ~scratch:t.cscratch trees
+    in
+    let seconds = Clock.since t0 in
+    let s = t.stats in
+    s.compiled_pages <- s.compiled_pages + 1;
+    s.compile_seconds <- s.compile_seconds +. seconds;
+    if tier2 then s.tier2_compile_seconds <- s.tier2_compile_seconds +. seconds;
+    save (xp, cp);
     emit t (fun () ->
-        Vliw_compiled
-          { cycle = now t; page = page.base; vliws = Array.length trees;
-            seconds });
+        Vliw_compiled { cycle = now t; page; vliws = cp.fresh; seconds });
     cp
+
+let compiled_for t (page : Translate.xpage) : C.page =
+  staged_form t ~page:page.base ~tier2:false
+    (Hashtbl.find_opt t.compiled page.base)
+    page
+    ~save:(Hashtbl.replace t.compiled page.base)
 
 (** Which rung is [base] on right now? *)
 let page_mode t base =
@@ -1147,7 +1229,8 @@ let run t ~entry ~fuel =
          else begin
            (* fresh translation work: bracket it with begin/end events
               carrying the translator-total deltas for this unit, then
-              persist the (new or extended) page *)
+              persist a new page at once or mark an extended one dirty *)
+           let extending = Translate.translated t.tr addr in
            let tot = t.tr.totals in
            let i0 = tot.insns and v0 = tot.vliws_made in
            let b0 = tot.code_bytes and g0 = tot.groups in
@@ -1156,11 +1239,11 @@ let run t ~entry ~fuel =
            | None -> ());
            emit t (fun () ->
                Translate_begin { cycle = now t; page = base; entry = addr });
-           let tb0 = Sys.time () in
+           let tb0 = Clock.now () in
            let res = Translate.entry t.tr addr in
            (match t.translate_budget with
            | Some b ->
-             let dt = Sys.time () -. tb0 in
+             let dt = Clock.since tb0 in
              if dt > b then raise (Translate_deadline dt)
            | None -> ());
            emit t (fun () ->
@@ -1168,7 +1251,8 @@ let run t ~entry ~fuel =
                  { cycle = now t; page = base; entry = addr;
                    insns = tot.insns - i0; vliws = tot.vliws_made - v0;
                    bytes = tot.code_bytes - b0; groups = tot.groups - g0 });
-           tcache_persist t (fst res);
+           if extending then tcache_defer t (fst res)
+           else tcache_persist t (fst res);
            (match t.install_hook with Some f -> f (fst res) | None -> ());
            res
          end
@@ -1197,7 +1281,8 @@ let run t ~entry ~fuel =
         record_failure t base;
         recover_at addr
       | page, id -> (
-        (* the persist already happened inside the attempt, so waiters
+        (* a gate owner translated a page it did not have, so the
+           persist already happened inside the attempt and waiters
            released here re-probe straight into a hit *)
         release true;
         t.lru_tick <- t.lru_tick + 1;
@@ -1248,7 +1333,10 @@ let run t ~entry ~fuel =
       match t.engine with
       | Tree -> exec_at xp id
       | Compiled -> (
-        match region_compiled r xp with
+        match
+          staged_form t ~page:base ~tier2:true r.r_staged xp ~save:(fun e ->
+              r.r_staged <- Some e)
+        with
         | cp -> exec_c xp cp (C.get cp id)
         | exception ((Mem.Halted _ | Out_of_fuel | Deliver _) as e) -> raise e
         | exception C.Budget_exceeded seconds ->
@@ -1263,27 +1351,6 @@ let run t ~entry ~fuel =
           (* structurally corrupt region tree: the interpretive walker
              owns error containment, exactly as for tier-1 pages *)
           exec_at xp id))
-  and region_compiled (r : region) (xp : Translate.xpage) : C.page =
-    match r.r_staged with
-    | Some (src, cp) when src == xp && C.n_staged cp = Vec.length xp.vliws ->
-      cp
-    | _ ->
-      let t0 = Sys.time () in
-      let trees = Array.init (Vec.length xp.vliws) (Vec.get xp.vliws) in
-      let cp =
-        C.stage ?budget:t.compile_budget ~st:t.st ~mem:t.mem
-          ~scratch:t.cscratch trees
-      in
-      let seconds = Sys.time () -. t0 in
-      stats.compiled_pages <- stats.compiled_pages + 1;
-      stats.compile_seconds <- stats.compile_seconds +. seconds;
-      stats.tier2_compile_seconds <- stats.tier2_compile_seconds +. seconds;
-      r.r_staged <- Some (xp, cp);
-      emit t (fun () ->
-          Vliw_compiled
-            { cycle = now t; page = t.current_page;
-              vliws = Array.length trees; seconds });
-      cp
   and dispatch (page : Translate.xpage) id =
     match t.engine with
     | Tree -> exec_at page id
@@ -1325,6 +1392,7 @@ let run t ~entry ~fuel =
         t.tr.pages;
       if !victim < 0 then continue_ := false
       else begin
+        flush_page t !victim;
         Translate.invalidate t.tr !victim;
         drop_compiled t !victim;
         Memsys.Tlb.flush t.itlb;
@@ -1752,4 +1820,11 @@ let run t ~entry ~fuel =
     | exception Deliver vector -> drive vector
   in
   t.resume_pc <- entry;
-  drive entry
+  match drive entry with
+  | r ->
+    flush_dirty t;
+    r
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    flush_dirty t;
+    Printexc.raise_with_backtrace e bt

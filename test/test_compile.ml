@@ -379,6 +379,228 @@ let test_onpage_memo () =
   | _ -> Alcotest.fail "expected OnPage"
 
 (* ------------------------------------------------------------------ *)
+(* Incremental staging                                                 *)
+
+(* A random translated page as the translator builds one: groups of
+   trees appended in turn, each group's [Next] exits pointing only at
+   its own trees, and every other transfer an [OnPage]/[OffPage] exit. *)
+type gtree = {
+  g_ops : Op.t list;
+  g_split : (int * Op.t list) option;  (** CR bit of a split, taken-side ops *)
+  g_next : int list;  (** group-relative [Next] targets per leaf (-1 = off page) *)
+}
+
+let gen_group =
+  QCheck.Gen.(
+    let tree size =
+      map3
+        (fun ops split nexts -> { g_ops = ops; g_split = split; g_next = nexts })
+        gen_ops
+        (opt (pair (int_range 0 31) gen_ops))
+        (list_repeat 2 (int_range (-1) (size - 1)))
+    in
+    int_range 1 4 >>= fun size -> list_repeat size (tree size))
+
+let build_page groups =
+  let trees = ref [] and n = ref 0 and seq = ref 0 in
+  List.iter
+    (fun group ->
+      let base = !n in
+      List.iter
+        (fun g ->
+          let id = !n in
+          incr n;
+          let v = T.create ~id ~precise_entry:(0x1000 + (4 * id)) in
+          let add tip op =
+            incr seq;
+            T.add_op tip !seq op
+          in
+          let exit k =
+            match List.nth g.g_next k with
+            | -1 -> if k = 0 then T.OffPage 0x4000 else T.OnPage (4 * id)
+            | r -> T.Next (base + r)
+          in
+          List.iter (add v.root) g.g_ops;
+          (match g.g_split with
+          | None -> T.close v.root (exit 0)
+          | Some (bit, ops) ->
+            let taken, fall = T.split v.root { bit; sense = true } in
+            List.iter (add taken) ops;
+            T.close taken (exit 0);
+            T.close fall (exit 1));
+          trees := v :: !trees)
+        group)
+    groups;
+  Array.of_list (List.rev !trees)
+
+(* Run a chain of staged VLIWs from [id], following [Next] exits, from
+   a fresh state; returns every step's outcome and the final state. *)
+let run_chain cp id =
+  let rec go cv steps acc =
+    let o = run_compiled cp cv in
+    let acc = o :: acc in
+    match o with
+    | ODone (T.Next id', _, _) when steps > 0 && id' < C.n_staged cp ->
+      go (C.get cp id') (steps - 1) acc
+    | _ -> List.rev acc
+  in
+  go (C.get cp id) 12 []
+
+let fresh_state () =
+  let st = Vstate.create (Ppc.Machine.create ()) in
+  let mem = Ppc.Mem.create 0x2000 in
+  for r = 0 to 31 do
+    st.m.gpr.(r) <- r * 12345
+  done;
+  st.m.cr <- 0x2468_ACE1;
+  (st, mem)
+
+let prop_incremental =
+  QCheck.Test.make ~name:"extended page: staged with ~prev = staged in full"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (int_range 1 4) gen_group))
+    (fun groups ->
+      let trees = build_page groups in
+      let ends =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (n, acc) g ->
+                  let n = n + List.length g in
+                  (n, n :: acc))
+                (0, []) groups))
+      in
+      (* incremental: one staging per group, each reusing the last *)
+      let ist, imem = fresh_state () in
+      let scratch = C.create_scratch () in
+      let reused = ref true in
+      let icp =
+        List.fold_left
+          (fun prev n ->
+            let cp =
+              C.stage ?prev ~st:ist ~mem:imem ~scratch (Array.sub trees 0 n)
+            in
+            (match prev with
+            | Some p ->
+              for i = 0 to C.n_staged p - 1 do
+                if C.get cp i != C.get p i then reused := false
+              done;
+              if cp.C.fresh <> n - C.n_staged p then reused := false
+            | None -> ());
+            Some cp)
+          None ends
+        |> Option.get
+      in
+      let fst_, fmem = fresh_state () in
+      let fcp = C.stage ~st:fst_ ~mem:fmem ~scratch:(C.create_scratch ()) trees in
+      let same = ref true in
+      for id = 0 to Array.length trees - 1 do
+        (* each chain starts from the same state on both sides *)
+        let a = run_chain icp id and b = run_chain fcp id in
+        if a <> b then same := false
+      done;
+      !reused && !same
+      && Ppc.Machine.equal ist.m fst_.m
+      && ist.hi = fst_.hi && ist.tags = fst_.tags
+      && Bytes.equal imem.bytes fmem.bytes)
+
+let test_stage_prev_reuses () =
+  let st = Vstate.create (Ppc.Machine.create ()) in
+  let mem = Ppc.Mem.create 0x1000 in
+  let scratch = C.create_scratch () in
+  let v0 = T.create ~id:0 ~precise_entry:0x1000 in
+  T.close v0.root (T.Next 1);
+  let v1 = T.create ~id:1 ~precise_entry:0x1004 in
+  T.close v1.root (T.OnPage 0x40);
+  let v2 = T.create ~id:2 ~precise_entry:0x1040 in
+  T.close v2.root (T.Next 3);
+  let v3 = T.create ~id:3 ~precise_entry:0x1044 in
+  T.close v3.root (T.OffPage 0x2000);
+  let cp1 = C.stage ~st ~mem ~scratch [| v0; v1 |] in
+  let cp2 = C.stage ~prev:cp1 ~st ~mem ~scratch [| v0; v1; v2; v3 |] in
+  Alcotest.(check int) "all four staged" 4 (C.n_staged cp2);
+  Alcotest.(check int) "only the new trees compiled" 2 cp2.C.fresh;
+  Alcotest.(check bool) "tree 0 reused physically" true (C.get cp2 0 == C.get cp1 0);
+  Alcotest.(check bool) "tree 1 reused physically" true (C.get cp2 1 == C.get cp1 1);
+  let leaf2 = C.exec_vliw cp2 (C.get cp2 2) ~alias_check:(fun _ -> true) in
+  (match leaf2.C.exit with
+  | C.Cnext cv -> Alcotest.(check bool) "new Next linked" true (cv == C.get cp2 3)
+  | _ -> Alcotest.fail "expected a direct-linked Next");
+  (* a prev staged against other state is not reused *)
+  let st' = Vstate.create (Ppc.Machine.create ()) in
+  let cp3 = C.stage ~prev:cp1 ~st:st' ~mem ~scratch [| v0; v1; v2; v3 |] in
+  Alcotest.(check int) "foreign prev ignored" 4 cp3.C.fresh;
+  Alcotest.(check bool) "foreign prev not shared" true (C.get cp3 0 != C.get cp1 0);
+  (* so is a prev whose trees are not the page's first trees *)
+  let v0' = T.create ~id:0 ~precise_entry:0x1000 in
+  T.close v0'.root (T.Next 1);
+  let cp4 = C.stage ~prev:cp1 ~st ~mem ~scratch [| v0'; v1; v2; v3 |] in
+  Alcotest.(check int) "replaced tree: prev ignored" 4 cp4.C.fresh
+
+(* Incremental staging rests on one translator invariant: a translation
+   group never mutates the trees an earlier group built.  Every
+   translation unit of every registry workload and of a clean fuzz
+   corpus is checked: the old trees of an extended page encode to the
+   same bytes after the extension as before it. *)
+let check_extensions_immutable (w : Workloads.Wl.t) =
+  let extended = ref 0 and changed = ref [] in
+  let encode tr =
+    let b = Buffer.create 256 in
+    Tcache.Codec.put_tree b tr;
+    Buffer.contents b
+  in
+  let instrument (vmm : Vmm.Monitor.t) =
+    let before = ref None in
+    vmm.event_hook <-
+      Some
+        (function
+        | Translate_begin { page; _ } ->
+          before :=
+            Option.map
+              (fun (xp : Translator.Translate.xpage) ->
+                (xp, Array.init (Translator.Vec.length xp.vliws) (fun i ->
+                         encode (Translator.Vec.get xp.vliws i))))
+              (Hashtbl.find_opt vmm.tr.pages page)
+        | Translate_end _ -> (
+          match !before with
+          | Some (xp, old) when Array.length old > 0 ->
+            incr extended;
+            Array.iteri
+              (fun i e ->
+                if encode (Translator.Vec.get xp.vliws i) <> e then
+                  changed := (xp.base, i) :: !changed)
+              old
+          | _ -> ())
+        | _ -> ())
+  in
+  (match Vmm.Run.run ~instrument w with
+  | _ -> ()
+  | exception Vmm.Run.Mismatch m -> Alcotest.fail m);
+  (* checked after the run: the monitor contains anything raised around
+     a translation as a translator fault *)
+  (match !changed with
+  | (page, i) :: _ ->
+    Alcotest.failf "%s: page 0x%x tree %d changed by an extension" w.name page i
+  | [] -> ());
+  !extended
+
+let test_extensions_immutable () =
+  let registry =
+    List.fold_left
+      (fun n w -> n + check_extensions_immutable w)
+      0 Workloads.Registry.all
+  in
+  let fuzz = ref 0 in
+  for index = 0 to 39 do
+    let rng = Random.State.make [| 7; index; 0 |] in
+    let slots = Fault.Fuzz.gen_slots rng ~insns:96 ~allow_raw:true in
+    let w = Fault.Fuzz.wl_of ~seed:7 ~index ~fuel:100_000 slots in
+    fuzz := !fuzz + check_extensions_immutable w
+  done;
+  Alcotest.(check bool) "registry extends pages" true (registry > 0);
+  Alcotest.(check bool) "fuzz corpus extends pages" true (!fuzz > 0)
+
+(* ------------------------------------------------------------------ *)
 (* Whole workloads: engine vs engine through the verified harness      *)
 
 let test_registry_differential () =
@@ -435,6 +657,12 @@ let () =
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
           Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo ] );
+      ( "incremental",
+        [ Alcotest.test_case "stage ~prev reuses old trees" `Quick
+            test_stage_prev_reuses;
+          QCheck_alcotest.to_alcotest prop_incremental;
+          Alcotest.test_case "extensions leave old trees intact" `Slow
+            test_extensions_immutable ] );
       ( "engines",
         [ Alcotest.test_case "registry differential" `Slow
             test_registry_differential;

@@ -444,6 +444,112 @@ let test_selfmod_evicts () =
     (vmm'.stats.tcache_hits >= 1);
   ignore (Store.clear_dir dir)
 
+(* --- write-behind for in-place extensions --------------------------
+
+   A page's first translation is written at once; extending a page
+   that is already translated only marks it dirty, and the dirty page
+   is written once, when the run exits or before a cast-out drops it.
+   gcc extends its pages in place 19 times over 5 pages. *)
+
+let test_extensions_written_once () =
+  let dir = fresh_dir () in
+  let w = Workloads.Registry.by_name "gcc" in
+  let cold = Vmm.Run.run ~tcache_dir:dir w in
+  Alcotest.(check bool) "cold run extends pages in place" true
+    (cold.totals.groups > cold.pages_translated
+    && cold.stats.tcache_deferred > 0);
+  Alcotest.(check bool) "at most two writes per page" true
+    (cold.stats.tcache_persists <= 2 * cold.pages_translated);
+  (* the flushed superset entries hold every extension: the warm run
+     translates nothing, not even one group *)
+  let warm = Vmm.Run.run ~tcache_dir:dir w in
+  Alcotest.(check int) "warm translation groups" 0 warm.totals.groups;
+  Alcotest.(check int) "warm persists" 0 warm.stats.tcache_persists;
+  Alcotest.(check int) "same VLIWs executed" cold.vliws warm.vliws;
+  ignore (Store.clear_dir dir)
+
+let test_castout_flushes_victim () =
+  let dir = fresh_dir () in
+  let w = Workloads.Registry.by_name "gcc" in
+  (* pages extended since their last write, tracked from the event
+     stream; a cast-out victim must never be one of them *)
+  let pending = Hashtbl.create 8 in
+  let extending = ref false and last_persist = ref (-1) in
+  let flushed_victims = ref 0 and castouts = ref 0 and unwritten = ref [] in
+  let instrument (vmm : Vmm.Monitor.t) =
+    vmm.code_budget <- Some 1200;
+    vmm.event_hook <-
+      Some
+        (fun ev ->
+          (match ev with
+          | Translate_begin { page; _ } ->
+            extending := Hashtbl.mem vmm.tr.pages page
+          | Translate_end { page; _ } ->
+            if !extending then Hashtbl.replace pending page ()
+          | Tcache_persist { page; _ } -> Hashtbl.remove pending page
+          | Castout { page; _ } ->
+            incr castouts;
+            if Hashtbl.mem pending page then unwritten := page :: !unwritten;
+            if !last_persist = page then incr flushed_victims
+          | _ -> ());
+          last_persist :=
+            match ev with Tcache_persist { page; _ } -> page | _ -> -1)
+  in
+  let r = Vmm.Run.run ~tcache_dir:dir ~instrument w in
+  Alcotest.(check (list int)) "victims cast out with extensions unwritten" []
+    !unwritten;
+  Alcotest.(check bool) "the budget forced cast-outs" true (!castouts > 0);
+  Alcotest.(check bool) "a victim's extension was written just before" true
+    (!flushed_victims > 0);
+  Alcotest.(check bool) "extensions were deferred" true
+    (r.stats.tcache_deferred > 0);
+  ignore (Store.clear_dir dir)
+
+let test_selfmod_after_extension_not_written () =
+  let w = Workloads.Registry.by_name "wc" in
+  (* translate a page, extend it with a second entry point, then either
+     leave it alone or store into it before the flush *)
+  let run ~selfmod =
+    let dir = fresh_dir () in
+    let mem, entry = Workloads.Wl.instantiate w in
+    let vmm = Vmm.Monitor.create ~tcache_dir:dir mem in
+    let page, _ = Translate.entry vmm.tr entry in
+    Vmm.Monitor.tcache_persist vmm page;
+    let n0 = Vec.length page.vliws in
+    let off =
+      let rec free o = if Hashtbl.mem page.entries o then free (o + 4) else o in
+      free 0
+    in
+    let page', _ = Translate.entry vmm.tr (page.base + off) in
+    Alcotest.(check bool) "extended in place" true
+      (page' == page && Vec.length page.vliws > n0);
+    Vmm.Monitor.tcache_defer vmm page;
+    if selfmod then
+      (* same-value store: the bytes, and so the content key, stay put,
+         but the read-only bit still invalidates the translation *)
+      Ppc.Mem.store32 mem entry (Ppc.Mem.load32 mem entry);
+    Vmm.Monitor.flush_dirty vmm;
+    let store =
+      Store.open_store ~dir ~frontend:"ppc"
+        ~fingerprint:(Translator.Params.fingerprint Translator.Params.default)
+        ()
+    in
+    let key =
+      Store.key store ~base:page.base (Ppc.Mem.read_string mem page.base page.psize)
+    in
+    let probe = Store.probe store ~key in
+    ignore (Store.clear_dir dir);
+    (vmm.stats.tcache_persists, probe, Vec.length page.vliws)
+  in
+  (match run ~selfmod:false with
+  | 2, `Hit (p, _), n ->
+    Alcotest.(check int) "flush wrote the extended page" n (Vec.length p.vliws)
+  | n, _, _ -> Alcotest.failf "control: %d persists, no extended entry" n);
+  match run ~selfmod:true with
+  | 1, `Miss, _ -> ()
+  | n, `Hit _, _ -> Alcotest.failf "invalidated extension written (%d persists)" n
+  | n, _, _ -> Alcotest.failf "unexpected store state after %d persists" n
+
 (* --- adaptive retranslation × cache -------------------------------
 
    Spec-inhibition is run-time state the content address cannot see:
@@ -621,4 +727,11 @@ let () =
           Alcotest.test_case "corrupt entry" `Quick
             test_warm_survives_corrupt_entry;
           Alcotest.test_case "skipped entry" `Quick test_warm_counts_skipped;
-          Alcotest.test_case "self-modifying" `Quick test_selfmod_evicts ] ) ]
+          Alcotest.test_case "self-modifying" `Quick test_selfmod_evicts ] );
+      ( "write-behind",
+        [ Alcotest.test_case "extensions written once" `Quick
+            test_extensions_written_once;
+          Alcotest.test_case "castout flushes victim" `Quick
+            test_castout_flushes_victim;
+          Alcotest.test_case "selfmod after extension" `Quick
+            test_selfmod_after_extension_not_written ] ) ]

@@ -169,6 +169,54 @@ let test_warm_start_rejects_stale () =
   let t = Tier.attach ~cfg:sync_cfg vmm in
   Alcotest.(check int) "stale bytes do not re-promote" 0 t.Tier.installed
 
+(* --- a region image extended in place is staged incrementally -------
+
+   Tier-1 pages and region images share one staging path: after the
+   region translator extends its image with a new entry point, only
+   the new trees are staged, and the old staged trees are reused
+   physically. *)
+
+let test_region_incremental_staging () =
+  let restaged = ref 0 and wrong = ref [] in
+  let check what ok = if not ok then wrong := what :: !wrong in
+  List.iter
+    (fun w ->
+      let last = Hashtbl.create 4 in
+      ignore
+        (Run.run
+           ~instrument:(fun vmm ->
+             ignore (Tier.attach ~cfg:sync_cfg vmm);
+             let prev = vmm.Monitor.event_hook in
+             vmm.Monitor.event_hook <-
+               Some
+                 (fun ev ->
+                   (match (ev, vmm.Monitor.active_region) with
+                   | Vliw_compiled { vliws; _ }, Some r -> (
+                     match r.Monitor.r_staged with
+                     | Some (xp, cp) ->
+                       let n = Vliw.Compile.n_staged cp in
+                       (match Hashtbl.find_opt last r.r_id with
+                       | Some (xp0, cp0) when xp0 == xp ->
+                         incr restaged;
+                         let n0 = Vliw.Compile.n_staged cp0 in
+                         check "only new trees staged" (vliws = n - n0);
+                         for i = 0 to n0 - 1 do
+                           check "old trees reused"
+                             (Vliw.Compile.get cp i == Vliw.Compile.get cp0 i)
+                         done
+                       | _ -> check "first staging stages all" (vliws = n));
+                       Hashtbl.replace last r.r_id (xp, cp)
+                     | None -> check "region staged but not saved" false)
+                   | _ -> ());
+                   match prev with Some f -> f ev | None -> ()))
+           w))
+    Workloads.Registry.all;
+  (* checked after the runs: the monitor contains anything raised while
+     staging a region image by falling back to the tree walker *)
+  Alcotest.(check (list string)) "region stagings" [] !wrong;
+  Alcotest.(check bool) "some region image was extended and restaged" true
+    (!restaged > 0)
+
 (* --- upgrade: a wider SCC supersedes a hot single page --------------- *)
 
 let test_upgrade_absorbs_single () =
@@ -221,4 +269,7 @@ let () =
             test_warm_start_rejects_stale ] );
       ( "upgrade",
         [ Alcotest.test_case "SCC absorbs single" `Quick
-            test_upgrade_absorbs_single ] ) ]
+            test_upgrade_absorbs_single ] );
+      ( "staging",
+        [ Alcotest.test_case "region extension stages only new trees" `Slow
+            test_region_incremental_staging ] ) ]
