@@ -16,6 +16,10 @@ let translator_microbench () =
   let probe = Translator.Translate.create Translator.Params.default mem in
   ignore (Translator.Translate.entry probe entry);
   let insns = probe.totals.insns in
+  let imem, ientry = Workloads.Wl.instantiate w in
+  let st0 = Ppc.Machine.create () in
+  st0.pc <- ientry;
+  let it0 = Ppc.Interp.create st0 imem in
   let tests =
     Test.make_grouped ~name:"daisy"
       [ Test.make ~name:"translate-page"
@@ -26,10 +30,12 @@ let translator_microbench () =
                ignore (Translator.Translate.entry tr entry)));
         Test.make ~name:"interp-1k-insns"
           (Staged.stage (fun () ->
-               let mem2, e2 = Workloads.Wl.instantiate w in
-               let st = Ppc.Machine.create () in
-               st.pc <- e2;
-               let it = Ppc.Interp.create st mem2 in
+               (* a fresh architected state per run; the image is built
+                  once, outside the timed closure, so this times the
+                  interpreter and not assembly and memory set-up (the
+                  re-run first 1000 instructions see the data earlier
+                  runs wrote) *)
+               let it = { it0 with st = Ppc.Machine.copy st0; icount = 0 } in
                ignore (Ppc.Interp.run it ~fuel:1000))) ]
   in
   let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 1.0) () in
@@ -71,9 +77,9 @@ let tcache_series () =
     List.map
       (fun (w : Workloads.Wl.t) ->
         let time f =
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now () in
           let r = f () in
-          (r, Unix.gettimeofday () -. t0)
+          (r, Clock.since t0)
         in
         let cold, cold_s = time (fun () -> Vmm.Run.run ~tcache_dir:dir w) in
         let warm, warm_s = time (fun () -> Vmm.Run.run ~tcache_dir:dir w) in
@@ -101,9 +107,13 @@ let tcache_series () =
 
 (* Checkpoint-overhead series: the cost of crash safety.  Each registry
    workload runs plain and supervised (periodic snapshots at a sweep of
-   cadences), interleaved, best-of-N wall times.  The headline number
-   is the fractional ns/base-insn overhead at the default cadence — the
-   cost a long production run pays for being resumable after kill -9. *)
+   cadences).  Every supervised run is paired with a plain run beside
+   it, the order inside a pair alternating so drift in host speed hits
+   both sides equally, and a cadence's overhead is the median of its
+   per-pair ratios.  (Minima of samples of unequal size are biased:
+   the minimum of the larger sample is lower.)  The headline number is the
+   fractional ns/base-insn overhead at the default cadence — the cost a
+   long production run pays for being resumable after kill -9. *)
 let checkpoint_series () =
   print_newline ();
   print_endline "Checkpoint overhead: plain vs supervised";
@@ -111,17 +121,21 @@ let checkpoint_series () =
   let module J = Obs.Json in
   let everys = [ 10_000; 50_000; 200_000 ] in
   let default_every = 50_000 in
-  (* execution is deterministic, so wall-time noise is one-sided (host
-     scheduling only ever adds time): the minimum of the interleaved
-     samples is the robust estimator, not the median *)
-  let minimum l = List.fold_left min infinity l in
+  let median l =
+    let a = Array.of_list l in
+    Array.sort compare a;
+    let n = Array.length a in
+    if n = 0 then nan
+    else if n mod 2 = 1 then a.(n / 2)
+    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+  in
   let time_run (w : Workloads.Wl.t) attach =
     let mem, entry = Workloads.Wl.instantiate w in
     let vmm = Vmm.Monitor.create mem in
     attach vmm;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
-    (Unix.gettimeofday () -. t0, vmm.stats)
+    (Clock.since t0, vmm.stats)
   in
   let reps = 7 in
   let default_overheads = ref [] in
@@ -140,22 +154,29 @@ let checkpoint_series () =
                      w.name every)
               in
               let snapshots = ref 0 and seconds = ref 0. in
-              let samples =
-                List.init reps (fun _ ->
-                    (* interleave a plain run with every supervised one
-                       so host-load drift hits both sides equally *)
-                    plain_samples :=
-                      fst (time_run w (fun _ -> ())) :: !plain_samples;
-                    let dt, stats =
-                      time_run w (fun vmm ->
-                          ignore
-                            (Guard.Supervise.attach ~checkpoint_dir:dir
-                               ~checkpoint_every:every ~workload:w.name vmm))
-                    in
-                    snapshots := stats.checkpoints_written;
-                    seconds := stats.checkpoint_seconds;
-                    dt)
+              let plain () = fst (time_run w (fun _ -> ())) in
+              let supervised () =
+                let dt, stats =
+                  time_run w (fun vmm ->
+                      ignore
+                        (Guard.Supervise.attach ~checkpoint_dir:dir
+                           ~checkpoint_every:every ~workload:w.name vmm))
+                in
+                snapshots := stats.checkpoints_written;
+                seconds := stats.checkpoint_seconds;
+                dt
               in
+              (* (plain, supervised) wall times, one pair per rep *)
+              let pairs =
+                List.init reps (fun i ->
+                    if i mod 2 = 0 then
+                      let p = plain () in
+                      (p, supervised ())
+                    else
+                      let c = supervised () in
+                      (plain (), c))
+              in
+              plain_samples := List.map fst pairs @ !plain_samples;
               let bytes =
                 List.fold_left
                   (fun acc f ->
@@ -174,17 +195,17 @@ let checkpoint_series () =
                    (Sys.readdir dir);
                  Sys.rmdir dir
                with Sys_error _ -> ());
-              (every, minimum samples, !snapshots, bytes, !seconds))
+              (every, pairs, !snapshots, bytes, !seconds))
             everys
         in
-        (* the plain estimate uses every interleaved sample, so it sees
-           the same spread of host conditions as the supervised runs *)
-        let plain_ns = minimum !plain_samples *. 1e9 /. base in
+        let plain_ns = median !plain_samples *. 1e9 /. base in
         let rows =
           List.map
-            (fun (every, ck, snapshots, bytes, seconds) ->
-              let ck_ns = ck *. 1e9 /. base in
-              let overhead = (ck_ns -. plain_ns) /. plain_ns in
+            (fun (every, pairs, snapshots, bytes, seconds) ->
+              let ck_ns = median (List.map snd pairs) *. 1e9 /. base in
+              let overhead =
+                median (List.map (fun (p, c) -> (c /. p) -. 1.) pairs)
+              in
               if every = default_every then
                 default_overheads := overhead :: !default_overheads;
               Printf.printf
@@ -236,9 +257,9 @@ let obs_overhead_series () =
     let mem, entry = Workloads.Wl.instantiate w in
     let vmm = Vmm.Monitor.create mem in
     attach vmm;
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
-    Unix.gettimeofday () -. t0
+    Clock.since t0
   in
   let reps = 7 in
   let overheads = ref [] in
@@ -516,9 +537,9 @@ let tier_promotion_series () =
   let module J = Obs.Json in
   let sync_cfg = { Obs.Tier.default with submit = None } in
   let time f =
-    let t0 = Unix.gettimeofday () in
+    let t0 = Clock.now () in
     let r = f () in
-    (r, Unix.gettimeofday () -. t0)
+    (r, Clock.since t0)
   in
   let rows =
     List.map
@@ -625,40 +646,64 @@ let tier_promotion_series () =
    engines over the whole registry.  This is the fleet-migration metric
    — nanoseconds of host time per emulated base instruction — measured
    (best of three) rather than asserted, for the tree walker and the
-   staged closure engine side by side. *)
+   staged closure engine side by side, and against the reference
+   interpreter: a translator whose output runs slower than plain
+   interpretation has not earned its place.  Every timer covers
+   execution only; images, monitors and interpreters are built
+   outside it. *)
 let host_throughput_series () =
   print_newline ();
-  print_endline "Host throughput: tree walker vs staged closures";
-  print_endline "-----------------------------------------------";
+  print_endline "Host throughput: tree walker vs staged closures vs interpreter";
+  print_endline "--------------------------------------------------------------";
   let module J = Obs.Json in
   let engines = [ ("tree", Vmm.Monitor.Tree); ("compiled", Vmm.Monitor.Compiled) ] in
-  let speedups = ref [] in
+  let best_of_3 f =
+    let best = ref infinity in
+    for _ = 1 to 3 do
+      best := Float.min !best (f ())
+    done;
+    !best
+  in
+  let speedups = ref [] and vs_interp = ref [] in
   let rows =
     List.concat_map
       (fun (w : Workloads.Wl.t) ->
         (* base-instruction count from the reference interpreter; the
            VMM runs below skip re-verification timing noise by timing
-           only create + execute *)
+           only execution *)
         let _, _, _, it = Vmm.Run.reference w in
         let base_insns = it.Ppc.Interp.icount in
+        let per_insn seconds = seconds *. 1e9 /. float_of_int (max 1 base_insns) in
+        let interp_s =
+          best_of_3 (fun () ->
+              let mem, entry = Workloads.Wl.instantiate w in
+              let st = Ppc.Machine.create () in
+              st.pc <- entry;
+              let it = Ppc.Interp.create st mem in
+              let t0 = Clock.now () in
+              ignore (Ppc.Interp.run it ~fuel:w.fuel);
+              Clock.since t0)
+        in
+        let interp_ns = per_insn interp_s in
+        Printf.printf "%-10s %-8s %8.3f ms   %7.1f ns/insn\n" w.name "interp"
+          (interp_s *. 1000.) interp_ns;
         let per_engine =
           List.map
             (fun (ename, engine) ->
-              let best = ref infinity in
               let last = ref None in
-              for _ = 1 to 3 do
-                let mem, entry = Workloads.Wl.instantiate w in
-                let vmm = Vmm.Monitor.create ~engine mem in
-                let t0 = Unix.gettimeofday () in
-                ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
-                let dt = Unix.gettimeofday () -. t0 in
-                if dt < !best then best := dt;
-                last := Some vmm
-              done;
+              let seconds =
+                best_of_3 (fun () ->
+                    let mem, entry = Workloads.Wl.instantiate w in
+                    let vmm = Vmm.Monitor.create ~engine mem in
+                    let t0 = Clock.now () in
+                    ignore (Vmm.Monitor.run vmm ~entry ~fuel:(w.fuel * 2));
+                    let dt = Clock.since t0 in
+                    last := Some vmm;
+                    dt)
+              in
               let vmm = Option.get !last in
               let s = vmm.stats in
-              let seconds = !best in
-              let ns_per_insn = seconds *. 1e9 /. float_of_int (max 1 base_insns) in
+              let ns_per_insn = per_insn seconds in
               let mips = float_of_int base_insns /. (seconds *. 1e6) in
               (* [compiled_pages] counts staging calls, and an in-place
                  extension restages only its new trees, so the per-page
@@ -674,18 +719,30 @@ let host_throughput_series () =
                 "%-10s %-8s %8.3f ms   %7.1f ns/insn   %7.2f MIPS   %d stagings, %d pages (%.3f ms/page)\n"
                 w.name ename (seconds *. 1000.) ns_per_insn mips
                 s.compiled_pages pages compile_ms_per_page;
+              (* the staged engine's rows carry its ratio to the
+                 interpreter (> 1: slower than interpreting) *)
+              let vs =
+                if engine = Vmm.Monitor.Compiled then begin
+                  let r = ns_per_insn /. interp_ns in
+                  vs_interp := r :: !vs_interp;
+                  [ ("interp_ns_per_base_insn", J.Float interp_ns);
+                    ("staged_vs_interp", J.Float r) ]
+                end
+                else []
+              in
               ( ename, ns_per_insn,
                 J.Obj
-                  [ ("name", J.Str w.name);
-                    ("engine", J.Str ename);
-                    ("seconds", J.Float seconds);
-                    ("base_insns", J.Int base_insns);
-                    ("ns_per_base_insn", J.Float ns_per_insn);
-                    ("emulated_mips", J.Float mips);
-                    ("compiled_pages", J.Int s.compiled_pages);
-                    ("pages_translated", J.Int pages);
-                    ("direct_link_hits", J.Int s.direct_link_hits);
-                    ("compile_ms_per_page", J.Float compile_ms_per_page) ] ))
+                  ([ ("name", J.Str w.name);
+                     ("engine", J.Str ename);
+                     ("seconds", J.Float seconds);
+                     ("base_insns", J.Int base_insns);
+                     ("ns_per_base_insn", J.Float ns_per_insn);
+                     ("emulated_mips", J.Float mips);
+                     ("compiled_pages", J.Int s.compiled_pages);
+                     ("pages_translated", J.Int pages);
+                     ("direct_link_hits", J.Int s.direct_link_hits);
+                     ("compile_ms_per_page", J.Float compile_ms_per_page) ]
+                  @ vs) ))
             engines
         in
         (match per_engine with
@@ -695,13 +752,15 @@ let host_throughput_series () =
         List.map (fun (_, _, row) -> row) per_engine)
       Workloads.Registry.all
   in
-  let mean_speedup =
-    match !speedups with
+  let mean = function
     | [] -> 0.
     | l -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
   in
+  let mean_speedup = mean !speedups and mean_vs_interp = mean !vs_interp in
   Printf.printf "mean speedup (tree -> compiled): %.2fx\n" mean_speedup;
-  (J.Arr rows, mean_speedup)
+  Printf.printf "mean staged / interpreter time per base insn: %.2f\n"
+    mean_vs_interp;
+  (J.Arr rows, mean_speedup, mean_vs_interp)
 
 (* Machine-readable results: every workload's headline series (infinite
    and finite cache) plus the translator's raw speed, for trend tracking
@@ -759,12 +818,12 @@ let write_bench_json path micro =
       Printf.printf "tcache series skipped: %s\n" (Printexc.to_string e);
       J.Null
   in
-  let host_throughput, mean_speedup =
+  let host_throughput, mean_speedup, mean_vs_interp =
     try host_throughput_series ()
     with e ->
       Printf.printf "host-throughput series skipped: %s\n"
         (Printexc.to_string e);
-      (J.Null, 0.)
+      (J.Null, 0., 0.)
   in
   let checkpoint, mean_ck_overhead =
     try checkpoint_series ()
@@ -806,13 +865,14 @@ let write_bench_json path micro =
   in
   let j =
     J.Obj
-      [ ("schema", J.Str "daisy-bench-v9");
+      [ ("schema", J.Str "daisy-bench-v10");
         ("workloads", J.Arr (List.map workload ws));
         ("mean_ilp_inf", J.Float mean_ilp);
         ("translator", translator);
         ("tcache", tcache);
         ("host_throughput", host_throughput);
         ("mean_engine_speedup", J.Float mean_speedup);
+        ("staged_vs_interp_mean", J.Float mean_vs_interp);
         ("checkpoint", checkpoint);
         ("checkpoint_overhead_default_mean", J.Float mean_ck_overhead);
         ("obs_overhead", obs_overhead);
@@ -827,7 +887,7 @@ let write_bench_json path micro =
   Printf.printf "\nwrote %s\n" path
 
 let () =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.now () in
   print_endline "DAISY experiment suite: regenerating all tables and figures";
   Stats.Experiments.all ();
   let micro =
@@ -840,4 +900,4 @@ let () =
   (try write_bench_json "BENCH_daisy.json" micro
    with e ->
      Printf.printf "BENCH_daisy.json skipped: %s\n" (Printexc.to_string e));
-  Printf.printf "\nTotal harness time: %.1fs\n" (Unix.gettimeofday () -. t0)
+  Printf.printf "\nTotal harness time: %.1fs\n" (Clock.since t0)

@@ -20,10 +20,17 @@ let terminate = ref false
 
 let request_termination () = terminate := true
 
+(* Whether anything can set [terminate] asynchronously.  Without a
+   handler, nothing but an explicit [request_termination] can, so
+   [attach] installs no per-boundary poll for it. *)
+let sigterm_installed = ref false
+
 (** Install a SIGTERM handler that requests a graceful stop at the next
     commit boundary.  No-op on platforms without signals. *)
 let install_sigterm () =
-  try Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> terminate := true))
+  try
+    Sys.set_signal Sys.sigterm (Sys.Signal_handle (fun _ -> terminate := true));
+    sigterm_installed := true
   with Invalid_argument _ | Sys_error _ -> ()
 
 (** Attach the supervision stack to [vmm].  [checkpoint_dir] enables
@@ -33,7 +40,13 @@ let install_sigterm () =
     [flight] is dumped (reason ["sigterm"]) before the graceful-stop
     unwind, so even a killed run leaves its event tail behind.  Returns
     the checkpointer, if one was created, so callers can force a final
-    snapshot. *)
+    snapshot.
+
+    The tick that writes snapshots and polls for termination runs at
+    every VLIW boundary, so it is installed only when it has work: a
+    checkpointer, or a SIGTERM handler ({!install_sigterm}, called
+    before [attach]) that can request the graceful stop.  A flight
+    recorder alone adds no per-VLIW hook. *)
 let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
     ?(watchdog = Watchdog.none) ?shadow ?flight ~workload
     (vmm : Vmm.Monitor.t) =
@@ -49,8 +62,8 @@ let attach ?checkpoint_dir ?(checkpoint_every = 50_000) ?(checkpoint_seq = 0)
         (Checkpoint.attach ~dir ~every:checkpoint_every ~seq:checkpoint_seq
            ~workload vmm)
   in
-  (match (ck, flight) with
-  | None, None -> ()
+  (match ck with
+  | None when not !sigterm_installed -> ()
   | _ ->
     let prev = vmm.tick_hook in
     vmm.tick_hook <-

@@ -12,7 +12,11 @@
    - every operand location is resolved once into a closure that reads
      the right [Vstate] array slot (or raises exactly what [Vstate]
      would for a corrupt location, so the monitor's degradation ladder
-     sees the same [Exec.Error]s);
+     sees the same [Exec.Error]s), and the hot operand shapes are fused
+     into one closure per op (see "Fused shapes");
+   - exception tags move as immediate int codes ([Vstate]), so no tag
+     store goes through the write barrier, and a VLIW allocates
+     nothing;
    - pending writes and memory accesses accumulate into preallocated
      scratch buffers (parallel int arrays keyed by a small write-kind
      code) that are reset by bumping a fill pointer, not reallocated;
@@ -49,7 +53,7 @@ type scratch = {
   mutable w_kind : int array;
   mutable w_a : int array;
   mutable w_b : int array;
-  mutable w_tag : Vstate.tag array;
+  mutable w_tag : int array; (* tag codes, see [Vstate] *)
   (* memory accesses (mirrors [Exec.access], struct-of-arrays) *)
   mutable a_n : int;
   mutable a_addr : int array;
@@ -59,7 +63,7 @@ type scratch = {
   mutable a_store : bool array;
   (* per-op speculative tag accumulator (the compiled counterpart of
      [Exec.eval_op]'s [tag] ref cell; first non-clean tag wins) *)
-  mutable tag : Vstate.tag;
+  mutable tag : int;
 }
 
 let create_scratch () =
@@ -68,14 +72,14 @@ let create_scratch () =
     w_kind = Array.make 64 0;
     w_a = Array.make 64 0;
     w_b = Array.make 64 0;
-    w_tag = Array.make 64 Vstate.Clean;
+    w_tag = Array.make 64 Vstate.tag_clean;
     a_n = 0;
     a_addr = Array.make 32 0;
     a_bytes = Array.make 32 0;
     a_seq = Array.make 32 0;
     a_passed = Array.make 32 false;
     a_store = Array.make 32 false;
-    tag = Vstate.Clean;
+    tag = Vstate.tag_clean;
   }
 
 (* Write-kind codes.  The apply loop switches on these; the operand
@@ -113,9 +117,7 @@ let grow_writes s =
   s.w_kind <- gi s.w_kind;
   s.w_a <- gi s.w_a;
   s.w_b <- gi s.w_b;
-  let gt = Array.make (2 * n) Vstate.Clean in
-  Array.blit s.w_tag 0 gt 0 n;
-  s.w_tag <- gt
+  s.w_tag <- gi s.w_tag
 
 let push_w s kind a b =
   let n = s.w_n in
@@ -187,6 +189,10 @@ let accesses (s : scratch) : Exec.access list =
    [Invalid_argument] is converted to [Exec.Error] by [exec_vliw], as
    [Exec.run] does). *)
 
+(* Consuming a tagged register non-speculatively rolls the VLIW back;
+   the tag code is decoded into its [Vstate.tag] only here. *)
+let roll_tag t = raise (Exec.Roll (Exec.Rtag (Vstate.tag_of_code t)))
+
 (* [Exec.rd]: GPR-space operand; spec ops accumulate tags, non-spec
    ops roll back on them. *)
 let c_rd (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
@@ -199,14 +205,12 @@ let c_rd (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
     let i = l - 32 in
     let hi = st.hi and tags = st.tags in
     if spec then fun () ->
-      (match Array.unsafe_get tags i with
-      | Vstate.Clean -> ()
-      | t -> if s.tag = Vstate.Clean then s.tag <- t);
+      let t = Array.unsafe_get tags i in
+      if t <> Vstate.tag_clean && s.tag = Vstate.tag_clean then s.tag <- t;
       Array.unsafe_get hi i
     else fun () ->
-      (match Array.unsafe_get tags i with
-      | Vstate.Clean -> ()
-      | t -> raise (Exec.Roll (Exec.Rtag t)));
+      let t = Array.unsafe_get tags i in
+      if t <> Vstate.tag_clean then roll_tag t;
       Array.unsafe_get hi i
   end
   else if l = Op.lr_loc then
@@ -226,14 +230,12 @@ let c_rd_cr (st : Vstate.t) (s : scratch) ~spec (l : Op.loc) : unit -> int =
     let i = l - 8 in
     let crhi = st.crhi and crtags = st.crtags in
     if spec then fun () ->
-      (match Array.unsafe_get crtags i with
-      | Vstate.Clean -> ()
-      | t -> if s.tag = Vstate.Clean then s.tag <- t);
+      let t = Array.unsafe_get crtags i in
+      if t <> Vstate.tag_clean && s.tag = Vstate.tag_clean then s.tag <- t;
       Array.unsafe_get crhi i
     else fun () ->
-      (match Array.unsafe_get crtags i with
-      | Vstate.Clean -> ()
-      | t -> raise (Exec.Roll (Exec.Rtag t)));
+      let t = Array.unsafe_get crtags i in
+      if t <> Vstate.tag_clean then roll_tag t;
       Array.unsafe_get crhi i
   end
   else fun () -> st.crhi.(l - 8) (* out of range: faults like get_cr_tagged *)
@@ -290,14 +292,15 @@ let carry_write (s : scratch) (rt : Op.loc) : bool -> unit =
   else fun c -> push_w s k_ca 0 (if c then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
-(* Per-op compilation: [c_op st mem s seq op] is the staged counterpart
-   of [Exec.eval_op st mem seq op] — operand locations, immediates,
-   masks, widths and destination classes are all resolved here; the
-   returned closure only reads values, computes, and pushes writes. *)
+(* Per-op compilation: [c_generic st mem s seq op] is the staged
+   counterpart of [Exec.eval_op st mem seq op] — operand locations,
+   immediates, masks, widths and destination classes are all resolved
+   here; the returned closure only reads values, computes, and pushes
+   writes. *)
 
-let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
+let c_generic (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     unit -> unit =
-  let clean () = s.tag <- Vstate.Clean in
+  let clean () = s.tag <- Vstate.tag_clean in
   match op with
   | Bin { op; rt; ra; rb; ca; spec } -> (
     let fa = c_rd st s ~spec ra and fb = c_rd st s ~spec rb in
@@ -547,7 +550,7 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
       clean ();
       let addr = faddr () in
       if Mem.is_mmio addr then
-        if spec then push_wt s k_tagged_any rt 0 Vstate.Tmmio
+        if spec then push_wt s k_tagged_any rt 0 Vstate.tag_mmio
         else push_w s k_mmio rt addr
       else begin
         match fload mem addr with
@@ -558,7 +561,7 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
           res v;
           push_access s addr bytes seq passed false
         | exception Mem.Data_fault _ ->
-          if spec then push_wt s k_tagged_any rt 0 (Vstate.Tfault addr)
+          if spec then push_wt s k_tagged_any rt 0 (Vstate.tfault_code addr)
           else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
       end
   | StoreOp { w; rs; base; off } ->
@@ -709,6 +712,230 @@ let c_op (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
     fun () -> push_w s k_ca 0 (if fca () then 1 else 0)
 
 (* ------------------------------------------------------------------ *)
+(* Fused shapes.  [c_generic] builds every op as a chain of three or
+   four closure calls (tag reset, one reader per operand, a result
+   writer).  The operand shapes that dominate the dynamic op mix —
+   commits from the pool, [addi] into a renamed register, loads and
+   stores, compares, register-register adds and moves, rotates — get
+   one closure each instead, which reads the register and tag arrays
+   directly and pushes its write itself.  Anything else (LR/CTR
+   operands, corrupt locations, every other op) takes the generic path,
+   so a fused closure never has to reproduce an error case. *)
+
+(* A GPR operand resolved at stage time to [(values, tags, index)]:
+   its value is [values.(index)] and its tag code [tags.(index)].
+   Architected registers and the constant zero read an all-clean tag
+   array, so one closure body serves every operand class. *)
+let clean_tags = Array.make 32 Vstate.tag_clean
+let zero_value = [| 0 |]
+
+let c_src (st : Vstate.t) (l : Op.loc) =
+  if l = Op.zero then Some (zero_value, clean_tags, 0)
+  else if 0 <= l && l < 32 then Some (st.m.gpr, clean_tags, l)
+  else if Op.is_nonarch_gpr l then Some (st.hi, st.tags, l - 32)
+  else None
+
+(* A memory offset as a second address operand plus a displacement. *)
+let c_off st : Op.off -> _ = function
+  | Op.OImm d -> Some (zero_value, clean_tags, 0, d)
+  | OReg r -> Option.map (fun (v, t, i) -> (v, t, i, 0)) (c_src st r)
+
+(* Destination of a result as a write kind and its operand; a
+   speculative pool destination takes the op's tag ([result]). *)
+let c_dst ~spec (rt : Op.loc) =
+  if 0 <= rt && rt < 32 then Some (k_gpr_arch, rt)
+  else if Op.is_nonarch_gpr rt then
+    Some ((if spec then k_tagged else k_gpr_pool), rt - 32)
+  else None
+
+let c_crdst ~spec (crt : Op.loc) =
+  if 0 <= crt && crt < 8 then Some (k_cr_arch, crt)
+  else if Op.is_nonarch_cr crt then
+    Some ((if spec then k_crtagged else k_cr_pool), crt - 8)
+  else None
+
+(* The tag of an op reading one or two operands, with [c_rd]'s
+   semantics: the first non-clean operand tag, which a speculative op
+   passes on to its result and a non-speculative op rolls back on. *)
+let[@inline] tag1 ~spec ta i =
+  let t = Array.unsafe_get ta i in
+  if t <> Vstate.tag_clean && not spec then roll_tag t;
+  t
+
+let[@inline] tag2 ~spec ta i tb k =
+  let t = Array.unsafe_get ta i in
+  let t = if t <> Vstate.tag_clean then t else Array.unsafe_get tb k in
+  if t <> Vstate.tag_clean && not spec then roll_tag t;
+  t
+
+(* The fused closure of [op], when its shape has one.  The op's tag is
+   pushed with every write; [apply] reads it only for the tagged
+   kinds. *)
+let c_fused (st : Vstate.t) (mem : Mem.t) (s : scratch) seq (op : Op.t) :
+    (unit -> unit) option =
+  let m = st.m in
+  match op with
+  | CommitG { arch; src } when 0 <= arch && arch < 32 -> (
+    match c_src st src with
+    | Some (va, ta, i) ->
+      Some
+        (fun () ->
+          ignore (tag1 ~spec:false ta i);
+          push_w s k_gpr_arch arch (Array.unsafe_get va i))
+    | None -> None)
+  | CommitCr { arch; src } when 0 <= arch && arch < 8 && Op.is_nonarch_cr src ->
+    let crhi = st.crhi and crtags = st.crtags and i = src - 8 in
+    Some
+      (fun () ->
+        ignore (tag1 ~spec:false crtags i);
+        push_w s k_cr_arch arch (Array.unsafe_get crhi i))
+  | CommitLr { src } | CommitCtr { src } ->
+    let kind = match op with CommitLr _ -> k_lr | _ -> k_ctr in
+    (match c_src st src with
+    | Some (va, ta, i) ->
+      Some
+        (fun () ->
+          ignore (tag1 ~spec:false ta i);
+          push_w s kind 0 (Array.unsafe_get va i))
+    | None -> None)
+  | BinI { op = IAdd; rt; ra; imm; spec } -> (
+    match (c_src st ra, c_dst ~spec rt) with
+    | Some (va, ta, i), Some (kind, j) ->
+      Some
+        (fun () ->
+          let t = tag1 ~spec ta i in
+          push_wt s kind j (u32 (Array.unsafe_get va i + imm)) t)
+    | _ -> None)
+  | RlwinmOp { rt; ra; sh; mb; me; spec } -> (
+    match (c_src st ra, c_dst ~spec rt) with
+    | Some (va, ta, i), Some (kind, j) ->
+      let mask = Interp.mask_mb_me mb me in
+      Some
+        (fun () ->
+          let t = tag1 ~spec ta i in
+          push_wt s kind j (Interp.rotl32 (Array.unsafe_get va i) sh land mask) t)
+    | _ -> None)
+  | Bin { op = (Insn.Add | Subf) as bop; rt; ra; rb; spec; ca = _ } -> (
+    match (c_src st ra, c_src st rb, c_dst ~spec rt) with
+    | Some (va, ta, i), Some (vb, tb, k), Some (kind, j) ->
+      Some
+        (if bop = Insn.Add then fun () ->
+           let t = tag2 ~spec ta i tb k in
+           push_wt s kind j
+             (u32 (Array.unsafe_get va i + Array.unsafe_get vb k)) t
+         else fun () ->
+           let t = tag2 ~spec ta i tb k in
+           push_wt s kind j
+             (u32 (Array.unsafe_get vb k - Array.unsafe_get va i)) t)
+    | _ -> None)
+  | Logic { op = (Insn.Or_ | And_ | Xor_) as lop; rt; ra; rb; spec } -> (
+    match (c_src st ra, c_src st rb, c_dst ~spec rt) with
+    | Some (va, ta, i), Some (vb, tb, k), Some (kind, j) ->
+      Some
+        (match lop with
+        | Insn.Or_ -> fun () ->
+          let t = tag2 ~spec ta i tb k in
+          push_wt s kind j (Array.unsafe_get va i lor Array.unsafe_get vb k) t
+        | And_ -> fun () ->
+          let t = tag2 ~spec ta i tb k in
+          push_wt s kind j (Array.unsafe_get va i land Array.unsafe_get vb k) t
+        | _ -> fun () ->
+          let t = tag2 ~spec ta i tb k in
+          push_wt s kind j (Array.unsafe_get va i lxor Array.unsafe_get vb k) t)
+    | _ -> None)
+  | CmpOp { signed; crt; ra; rb; spec } -> (
+    match (c_src st ra, c_src st rb, c_crdst ~spec crt) with
+    | Some (va, ta, i), Some (vb, tb, k), Some (kind, j) ->
+      Some
+        (if signed then fun () ->
+           let t = tag2 ~spec ta i tb k in
+           let a = s32 (Array.unsafe_get va i) and b = s32 (Array.unsafe_get vb k) in
+           push_wt s kind j (Exec.cmp_bits m.xer_so (a < b) (a > b)) t
+         else fun () ->
+           let t = tag2 ~spec ta i tb k in
+           let a = Array.unsafe_get va i and b = Array.unsafe_get vb k in
+           push_wt s kind j (Exec.cmp_bits m.xer_so (a < b) (a > b)) t)
+    | _ -> None)
+  | CmpIOp { signed; crt; ra; imm; spec } -> (
+    match (c_src st ra, c_crdst ~spec crt) with
+    | Some (va, ta, i), Some (kind, j) ->
+      Some
+        (if signed then
+           let b = s32 (u32 imm) in
+           fun () ->
+             let t = tag1 ~spec ta i in
+             let a = s32 (Array.unsafe_get va i) in
+             push_wt s kind j (Exec.cmp_bits m.xer_so (a < b) (a > b)) t
+         else fun () ->
+           let t = tag1 ~spec ta i in
+           let a = Array.unsafe_get va i in
+           push_wt s kind j (Exec.cmp_bits m.xer_so (a < imm) (a > imm)) t)
+    | _ -> None)
+  | LoadOp { w; alg; rt; base; off; spec; passed } -> (
+    match (c_src st base, c_off st off, c_dst ~spec rt) with
+    | Some (vb, tb, i), Some (vo, to_, k, d), Some (kind, j) ->
+      let bytes = Mem.width_bytes w in
+      let fload =
+        match w with
+        | Insn.Byte -> Mem.load8
+        | Half -> Mem.load16
+        | Word -> Mem.load32
+      in
+      let k_mmio =
+        match w with Insn.Byte -> k_mmio8 | Half -> k_mmio16 | Word -> k_mmio32
+      in
+      let alg_half = alg && w = Insn.Half in
+      Some
+        (fun () ->
+          let t = tag2 ~spec tb i to_ k in
+          let addr = u32 (Array.unsafe_get vb i + Array.unsafe_get vo k + d) in
+          if Mem.is_mmio addr then
+            if spec then push_wt s k_tagged_any rt 0 Vstate.tag_mmio
+            else push_w s k_mmio rt addr
+          else begin
+            match fload mem addr with
+            | v ->
+              let v =
+                if alg_half then u32 (s32 ((v land 0xFFFF) lsl 16) asr 16)
+                else v
+              in
+              push_wt s kind j v t;
+              push_access s addr bytes seq passed false
+            | exception Mem.Data_fault _ ->
+              if spec then push_wt s k_tagged_any rt 0 (Vstate.tfault_code addr)
+              else raise (Exec.Roll (Exec.Rfault { addr; write = false }))
+          end)
+    | _ -> None)
+  | StoreOp { w; rs; base; off } -> (
+    match (c_src st rs, c_src st base, c_off st off) with
+    | Some (vr, tr, r), Some (vb, tb, i), Some (vo, to_, k, d) ->
+      let bytes = Mem.width_bytes w in
+      let k_store =
+        match w with
+        | Insn.Byte -> k_store8
+        | Half -> k_store16
+        | Word -> k_store32
+      in
+      Some
+        (fun () ->
+          ignore (tag1 ~spec:false tr r);
+          ignore (tag2 ~spec:false tb i to_ k);
+          let addr = u32 (Array.unsafe_get vb i + Array.unsafe_get vo k + d) in
+          if (not (Mem.is_mmio addr)) && not (Mem.in_bounds mem addr bytes) then
+            raise (Exec.Roll (Exec.Rfault { addr; write = true }));
+          push_w s k_store addr (Array.unsafe_get vr r);
+          push_access s addr bytes seq false true)
+    | _ -> None)
+  | _ -> None
+
+(** The staged closure of one op: its fused shape if it has one, the
+    generic closure chain otherwise. *)
+let c_op st mem s seq op =
+  match c_fused st mem s seq op with
+  | Some f -> f
+  | None -> c_generic st mem s seq op
+
+(* ------------------------------------------------------------------ *)
 (* Apply phase: commit the scratch writes in program order.  Mirrors
    [Exec.apply] variant by variant; deferred I/O-space loads perform
    their side effect here, never during evaluation. *)
@@ -721,7 +948,7 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
     | 0 (* k_gpr_arch *) -> m.gpr.(a) <- b
     | 1 (* k_gpr_pool *) ->
       st.hi.(a) <- b;
-      st.tags.(a) <- Vstate.Clean
+      st.tags.(a) <- Vstate.tag_clean
     | 2 (* k_lr *) -> m.lr <- b
     | 3 (* k_ctr *) -> m.ctr <- b
     | 4 (* k_tagged *) ->
@@ -729,13 +956,13 @@ let apply (st : Vstate.t) (mem : Mem.t) (s : scratch) =
       st.tags.(a) <- s.w_tag.(i)
     | 5 (* k_tagged_any *) ->
       Vstate.set_gpr st a b;
-      Vstate.set_tag st a s.w_tag.(i)
+      Vstate.set_tag_code st a s.w_tag.(i)
     | 6 (* k_ext *) -> st.ext.(a) <- b <> 0
     | 7 (* k_ca *) -> m.xer_ca <- b <> 0
     | 8 (* k_cr_arch *) -> Machine.set_crf m a b
     | 9 (* k_cr_pool *) ->
       st.crhi.(a) <- b land 0xF;
-      st.crtags.(a) <- Vstate.Clean
+      st.crtags.(a) <- Vstate.tag_clean
     | 10 (* k_crtagged *) ->
       st.crhi.(a) <- b land 0xF;
       st.crtags.(a) <- s.w_tag.(i)
@@ -839,9 +1066,8 @@ let rec c_sel st mem s leaves (prefix : (unit -> unit) list) nprefix
       let i = fld - 8 in
       let crhi = st.Vstate.crhi and crtags = st.Vstate.crtags in
       fun () ->
-        (match Array.unsafe_get crtags i with
-        | Vstate.Clean -> ()
-        | t -> raise (Exec.Roll (Exec.Rtag t)));
+        let t = Array.unsafe_get crtags i in
+        if t <> Vstate.tag_clean then roll_tag t;
         if (Array.unsafe_get crhi i lsr sh) land 1 = 1 = sense then ftaken ()
         else ffall ()
     else fun () -> invalid_arg "index out of bounds"

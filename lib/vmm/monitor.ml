@@ -1150,6 +1150,9 @@ let tcache_persist_region t (r : region) =
 let run t ~entry ~fuel =
   let stats = t.stats in
   let fuel_left = ref fuel in
+  (* built once: partially applying [alias_check_c] per VLIW would
+     allocate a closure on the staged engine's hot path *)
+  let alias_check_staged s = alias_check_c t s in
   (* resolve a base address to a translated position; this is the
      GO_ACROSS_PAGE path, so it consults the ITLB and maintains the
      cast-out pool *)
@@ -1745,7 +1748,7 @@ let run t ~entry ~fuel =
       stats.tier2_vliws <- stats.tier2_vliws + 1
     | None -> ());
     stats.vliws <- stats.vliws + 1;
-    match C.exec_vliw cp cv ~alias_check:(alias_check_c t) with
+    match C.exec_vliw cp cv ~alias_check:alias_check_staged with
     | exception Exec.Error reason -> exec_fault_at precise reason
     | exception Exec.Roll reason -> rolled_back_at precise reason
     | leaf ->

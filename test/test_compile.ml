@@ -601,6 +601,229 @@ let test_extensions_immutable () =
   Alcotest.(check bool) "fuzz corpus extends pages" true (!fuzz > 0)
 
 (* ------------------------------------------------------------------ *)
+(* Fused shapes against the generic closure chain                      *)
+
+(* Operand locations of every class a fused shape must tell apart: the
+   constant zero, architected registers, a few pool registers (so tags
+   and aliases collide), and locations only the generic path handles —
+   LR/CTR and out-of-range ones. *)
+let gen_loc =
+  QCheck.Gen.(
+    frequency
+      [ (2, return Op.zero); (4, int_range 0 31); (5, int_range 32 37);
+        (1, oneofl [ Op.lr_loc; Op.ctr_loc; 70; -5 ]) ])
+
+let gen_crloc =
+  QCheck.Gen.(
+    frequency
+      [ (4, int_range 0 7); (4, int_range 8 11); (1, oneofl [ 16; -2 ]) ])
+
+(* Entry tags, with fault addresses up to the top of the address space. *)
+let gen_tag =
+  QCheck.Gen.(
+    let fault_addr =
+      oneof
+        [ oneofl [ 0; 0x1234; 0xFFFF_FFFC ];
+          map (fun a -> a land lnot 3) (int_bound 0x3FFF_FFFF) ]
+    in
+    frequency
+      [ (4, return Vstate.Clean); (1, return Vstate.Tmmio);
+        (2, map (fun a -> Vstate.Tfault a) fault_addr) ])
+
+(* Register values: in-bounds addresses, I/O-space addresses (console,
+   device sequence — never the halt port), out-of-bounds and extreme
+   words. *)
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [ map (fun a -> a land lnot 3) (int_bound 0x1FF0);
+        oneofl
+          [ Ppc.Mem.mmio_putchar; Ppc.Mem.mmio_seq; 0x10_0000; 0xFFFF_FFFF;
+            0x8000_0000; 0; 1 ];
+        int_bound 0xFFFF ])
+
+(* Every op kind [Compile.c_fused] handles, plus neighbours of each
+   (other ALU ops, carrying forms) that must fall back. *)
+let gen_fusable =
+  QCheck.Gen.(
+    let spec = bool and imm = int_range (-0x8000) 0x7FFF in
+    let width = oneofl [ Ppc.Insn.Byte; Half; Word ] in
+    let off =
+      frequency
+        [ (3, map (fun d -> Op.OImm d) (int_range (-16) 64));
+          (1, map (fun r -> Op.OReg r) gen_loc) ]
+    in
+    let rrr = triple gen_loc gen_loc gen_loc in
+    let arch = frequency [ (6, int_range 0 31); (1, oneofl [ 33; 64 ]) ] in
+    let ibin =
+      frequency [ (4, return Op.IAdd); (1, oneofl [ Op.IAnd; IOr; IAddc ]) ]
+    in
+    frequency
+      [ (2, map2 (fun arch src -> Op.CommitG { arch; src }) arch gen_loc);
+        (1, map2 (fun arch src -> Op.CommitCr { arch; src }) gen_crloc gen_crloc);
+        (1, map (fun src -> Op.CommitLr { src }) gen_loc);
+        (1, map (fun src -> Op.CommitCtr { src }) gen_loc);
+        (3,
+         map3
+           (fun (op, rt, ra) imm spec -> Op.BinI { op; rt; ra; imm; spec })
+           (triple ibin gen_loc gen_loc) imm spec);
+        (1,
+         map3
+           (fun (rt, ra) (sh, mb, me) spec ->
+             Op.RlwinmOp { rt; ra; sh; mb; me; spec })
+           (pair gen_loc gen_loc)
+           (triple (int_bound 31) (int_bound 31) (int_bound 31))
+           spec);
+        (2,
+         map3
+           (fun op (rt, ra, rb) spec ->
+             Op.Bin { op; rt; ra; rb; ca = Op.ca_loc; spec })
+           (oneofl [ Ppc.Insn.Add; Subf; Addc; Mullw ]) rrr spec);
+        (2,
+         map3
+           (fun op (rt, ra, rb) spec -> Op.Logic { op; rt; ra; rb; spec })
+           (oneofl [ Ppc.Insn.Or_; And_; Xor_; Nor ]) rrr spec);
+        (2,
+         map3
+           (fun signed (crt, ra, rb) spec ->
+             Op.CmpOp { signed; crt; ra; rb; spec })
+           bool (triple gen_crloc gen_loc gen_loc) spec);
+        (2,
+         map3
+           (fun signed (crt, ra) (imm, spec) ->
+             Op.CmpIOp { signed; crt; ra; imm; spec })
+           bool (pair gen_crloc gen_loc) (pair imm spec));
+        (3,
+         map3
+           (fun (w, alg) (rt, base, off) (spec, passed) ->
+             Op.LoadOp { w; alg; rt; base; off; spec; passed })
+           (pair width bool) (triple gen_loc gen_loc off) (pair spec bool));
+        (2,
+         map3
+           (fun w (rs, base) off -> Op.StoreOp { w; rs; base; off })
+           width (pair gen_loc gen_loc) off) ])
+
+(* One machine state, applied identically to both sides. *)
+type fuse_case = {
+  f_op : Op.t;
+  f_gpr : int array;
+  f_hi : int array;
+  f_tags : Vstate.tag array;
+  f_cr : int;
+  f_crhi : int array;
+  f_crtags : Vstate.tag array;
+  f_so : bool;
+}
+
+let gen_fuse_case =
+  QCheck.Gen.(
+    map3
+      (fun f_op (f_gpr, f_hi, f_tags) (f_cr, f_crhi, f_crtags, f_so) ->
+        { f_op; f_gpr; f_hi; f_tags; f_cr; f_crhi; f_crtags; f_so })
+      gen_fusable
+      (triple (array_repeat 32 gen_value) (array_repeat 32 gen_value)
+         (array_repeat 32 gen_tag))
+      (quad (int_bound 0xFFFF_FFFF) (array_repeat 8 (int_bound 15))
+         (array_repeat 8 gen_tag) bool))
+
+let fuse_state c =
+  let st = Vstate.create (Ppc.Machine.create ()) in
+  let mem = Ppc.Mem.create 0x2000 in
+  for i = 0 to Bytes.length mem.bytes - 1 do
+    Bytes.set mem.bytes i (Char.chr ((i * 37) land 0xFF))
+  done;
+  Array.blit c.f_gpr 0 st.m.gpr 0 32;
+  Array.blit c.f_hi 0 st.hi 0 32;
+  Array.iteri (fun i t -> Vstate.set_tag st (32 + i) t) c.f_tags;
+  st.m.cr <- c.f_cr;
+  st.m.xer_so <- c.f_so;
+  Array.iteri (fun i v -> st.crhi.(i) <- v) c.f_crhi;
+  Array.iteri (fun i t -> Vstate.set_cr_tag st (8 + i) t) c.f_crtags;
+  (st, mem)
+
+type op_outcome = Applied | Rolled of Exec.reason | Raised of string
+
+(* What [exec_vliw] does around one op: reset the scratch, evaluate,
+   then apply the pending writes. *)
+let run_op f (st : Vstate.t) mem (s : C.scratch) =
+  s.w_n <- 0;
+  s.a_n <- 0;
+  match f () with
+  | () -> (
+    match C.apply st mem s with
+    | () -> Applied
+    | exception e -> Raised ("apply: " ^ Printexc.to_string e))
+  | exception Exec.Roll r -> Rolled r
+  | exception e -> Raised (Printexc.to_string e)
+
+let fused_cases = ref 0
+
+let prop_fused_generic =
+  QCheck.Test.make ~name:"fused shape = generic closure chain" ~count:3000
+    (QCheck.make gen_fuse_case ~print:(fun c -> Op.to_string c.f_op))
+    (fun c ->
+      let gst, gmem = fuse_state c and fst_, fmem = fuse_state c in
+      let gs = C.create_scratch () and fs = C.create_scratch () in
+      let generic = C.c_generic gst gmem gs 1 c.f_op in
+      let fused =
+        match C.c_fused fst_ fmem fs 1 c.f_op with
+        | Some f ->
+          incr fused_cases;
+          f
+        | None -> C.c_generic fst_ fmem fs 1 c.f_op
+      in
+      let og = run_op generic gst gmem gs and of_ = run_op fused fst_ fmem fs in
+      og = of_
+      && C.accesses gs = C.accesses fs
+      && Ppc.Machine.equal gst.m fst_.m
+      && gst.hi = fst_.hi && gst.ext = fst_.ext && gst.tags = fst_.tags
+      && gst.crhi = fst_.crhi && gst.crtags = fst_.crtags
+      && Bytes.equal gmem.bytes fmem.bytes
+      && gmem.seq = fmem.seq
+      && Ppc.Mem.output gmem = Ppc.Mem.output fmem)
+
+let test_fused_generic () =
+  fused_cases := 0;
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 2026 |]) prop_fused_generic;
+  (* the generator must reach the fused closures, not only the
+     fallback *)
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 3000 cases fused" !fused_cases)
+    true (!fused_cases >= 1000)
+
+(* The staged engine's steady state allocates nothing: a VLIW without
+   stores (fused and generic ops, a pool-field branch) runs 1000 times
+   with no minor-heap words. *)
+let test_exec_no_alloc () =
+  let v = mk () in
+  add v.root (Op.BinI { op = IAdd; rt = 33; ra = 33; imm = 1; spec = true });
+  add v.root (Op.CmpIOp { signed = true; crt = 9; ra = 2; imm = 5; spec = true });
+  add v.root
+    (Op.LoadOp { w = Word; alg = false; rt = 34; base = 1; off = OImm 8;
+                 spec = true; passed = true });
+  add v.root
+    (Op.Bin { op = Add; rt = 35; ra = 33; rb = 34; ca = Op.ca_loc; spec = true });
+  add v.root (Op.SrawiOp { rt = 36; ra = 35; sh = 3; spec = true });
+  add v.root (Op.CommitG { arch = 3; src = 35 });
+  let t, f = T.split v.root { bit = 4 * 9; sense = true } in
+  add t (Op.CommitCr { arch = 0; src = 9 });
+  T.close t (T.Next 0);
+  T.close f (T.Next 0);
+  let st = Vstate.create (Ppc.Machine.create ()) in
+  let mem = Ppc.Mem.create 0x2000 in
+  st.m.gpr.(1) <- 0x100;
+  let cp = C.stage ~st ~mem ~scratch:(C.create_scratch ()) [| v |] in
+  let cv = C.get cp 0 in
+  let alias_check _ = true in
+  ignore (C.exec_vliw cp cv ~alias_check);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (C.exec_vliw cp cv ~alias_check))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words over 1000 VLIWs" 0. words
+
+(* ------------------------------------------------------------------ *)
 (* Whole workloads: engine vs engine through the verified harness      *)
 
 let test_registry_differential () =
@@ -654,6 +877,11 @@ let () =
           Alcotest.test_case "corrupt loc" `Quick test_corrupt_loc;
           Alcotest.test_case "carry chain" `Quick test_carry_chain;
           QCheck_alcotest.to_alcotest prop_differential ] );
+      ( "fused",
+        [ Alcotest.test_case "fused shapes = generic chain" `Quick
+            test_fused_generic;
+          Alcotest.test_case "exec_vliw allocates nothing" `Quick
+            test_exec_no_alloc ] );
       ( "linking",
         [ Alcotest.test_case "Next direct-linked" `Quick test_direct_link_patched;
           Alcotest.test_case "OnPage memoized" `Quick test_onpage_memo ] );

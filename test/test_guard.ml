@@ -337,6 +337,45 @@ let test_shadow_divergence_survives_checkpoint () =
     (Run.degraded vmm2.stats);
   rm_rf dir
 
+(* The termination poll costs a hook call per VLIW, so a flight
+   recorder alone installs none: with no checkpointer and no SIGTERM
+   handler nothing can request the stop.  Once the handler is
+   installed, a requested stop still dumps the recorder and unwinds
+   with {!Terminated} at a boundary. *)
+let test_flight_only_tick () =
+  let dir = fresh_dir "flight-tick" in
+  let w = Workloads.Registry.by_name "wc" in
+  let attach () =
+    let mem, entry = Wl.instantiate w in
+    let vmm = Monitor.create mem in
+    let flight = Obs.Flight.create ~dir () in
+    ignore (Supervise.attach ~flight ~workload:w.name vmm);
+    (vmm, entry, flight)
+  in
+  let vmm, _, _ = attach () in
+  Alcotest.(check bool) "no tick without a checkpointer or handler" true
+    (vmm.tick_hook = None);
+  Fun.protect
+    ~finally:(fun () ->
+      Supervise.terminate := false;
+      Supervise.sigterm_installed := false;
+      Sys.set_signal Sys.sigterm Sys.Signal_default;
+      rm_rf dir)
+    (fun () ->
+      Supervise.install_sigterm ();
+      let vmm, entry, flight = attach () in
+      Alcotest.(check bool) "tick installed with a handler" true
+        (vmm.tick_hook <> None);
+      Supervise.request_termination ();
+      (match Monitor.run vmm ~entry ~fuel:(w.fuel * 2) with
+      | exception Supervise.Terminated -> ()
+      | _ -> Alcotest.fail "run was not terminated");
+      Alcotest.(check bool) "stopped at the first boundary" true
+        (vmm.stats.vliws <= 1);
+      Alcotest.(check bool) "flight recorder dumped" true
+        (List.mem_assoc "sigterm" (Obs.Flight.dumps flight)
+        && Sys.file_exists (Filename.concat dir "crash-sigterm.json")))
+
 let () =
   Alcotest.run "guard"
     [ ( "checkpoint",
@@ -348,6 +387,8 @@ let () =
             test_longest_valid_prefix;
           Alcotest.test_case "graceful termination" `Quick
             test_graceful_termination_and_resume;
+          Alcotest.test_case "flight-only attach: no tick" `Quick
+            test_flight_only_tick;
           Alcotest.test_case "incompatible params refused" `Quick
             test_incompatible_params_refused ] );
       ( "watchdog",

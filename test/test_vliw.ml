@@ -270,6 +270,40 @@ let prop_rollback_atomicity =
       | Done _ -> true
       | Rollback _ -> Ppc.Machine.equal snap st.m)
 
+(* qcheck: the int tag codec is a bijection on the tags a run can
+   produce — fault addresses span the whole 32-bit space — only Clean
+   codes to 0, and the API view through [Vstate.get]/[set_tag] and the
+   condition-field accessors round-trips. *)
+let prop_tag_codec =
+  let gen =
+    QCheck.Gen.(
+      frequency
+        [ (1, return Vstate.Clean); (1, return Vstate.Tmmio);
+          (4,
+           map (fun a -> Vstate.Tfault a)
+             (oneof [ oneofl [ 0; 4; 0xFFFF_FFFC; 0xFFFF_FFFF ];
+                      int_bound 0xFFFF_FFFF ])) ])
+  in
+  let print = function
+    | Vstate.Clean -> "Clean"
+    | Tmmio -> "Tmmio"
+    | Tfault a -> Printf.sprintf "Tfault 0x%x" a
+  in
+  QCheck.Test.make ~name:"tag codec round-trips" ~count:1000
+    (QCheck.make (QCheck.Gen.pair gen gen) ~print:(QCheck.Print.pair print print))
+    (fun (t, u) ->
+      let c = Vstate.code_of_tag t in
+      let st = Vstate.create (Ppc.Machine.create ()) in
+      Vstate.set_gpr st 40 7;
+      Vstate.set_tag st 40 t;
+      Vstate.set_cr st 9 3;
+      Vstate.set_cr_tag st 9 t;
+      Vstate.tag_of_code c = t
+      && (c = Vstate.tag_clean) = (t = Vstate.Clean)
+      && (Vstate.code_of_tag u = c) = (u = t)
+      && Vstate.get st 40 = (7, t)
+      && Vstate.get_cr_tagged st 9 = (3, t))
+
 let () =
   Alcotest.run "vliw"
     [ ( "tree",
@@ -286,4 +320,5 @@ let () =
           Alcotest.test_case "tagged branch" `Quick test_tagged_branch_rolls_back;
           Alcotest.test_case "mmio deferral" `Quick test_mmio_load_deferred;
           Alcotest.test_case "alias veto" `Quick test_alias_check_called;
-          QCheck_alcotest.to_alcotest prop_rollback_atomicity ] ) ]
+          QCheck_alcotest.to_alcotest prop_rollback_atomicity ] );
+      ("vstate", [ QCheck_alcotest.to_alcotest prop_tag_codec ]) ]
